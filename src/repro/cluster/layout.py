@@ -1,12 +1,14 @@
 """Distributed index layout on Spark (the paper's "Pre-assign" stage).
 
-One simulated worker node = one Spark RDD partition. Grid cell ``(v, b)``
-(vector shard ``v`` × dimension block ``b``) is routed to partition
-``plan.cell_node(v, b)`` by a **custom partitioner** over cell keys —
-the Spark analog of Harmony assigning index blocks to MPI ranks. Each
-partition materializes a :class:`CellStore` holding its clusters' vector
-rows restricted to its dimension block; the driver keeps the client-side
-routing table (centroids, per-cluster id lists, prewarm sample).
+One simulated worker node = one Spark RDD partition. The driver slices a
+built :class:`~repro.ivf.index.IVFIndex` into grid cells ``(v, b)``
+(vector shard ``v`` × dimension block ``b``) and places them with one
+``parallelize`` call in node order, so partition ``i`` holds exactly the
+cell of node ``i = plan.cell_node(v, b)`` — the Spark analog of Harmony
+assigning index blocks to MPI ranks. Each partition holds a
+:class:`CellStore` with its clusters' vector rows restricted to its
+dimension block; the driver keeps the client-side routing table
+(centroids, per-cluster id lists, prewarm sample).
 """
 from __future__ import annotations
 
@@ -14,12 +16,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark import StorageLevel
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark import SparkContext
 
 from repro.core.partition import PartitionPlan
-from repro.ivf.kmeans import kmeans
+from repro.ivf.index import IVFIndex
 
 #: Bytes per element of the per-node partial-distance accumulator that
 #: dimension-partitioned layouts pre-allocate (8B float64 running sum +
@@ -100,161 +100,47 @@ class DistributedIndex:
         self.rdd.unpersist()
 
 
-def train_centroids(
-    df: DataFrame, nlist: int, seed: int = 0, sample_cap: int = 65_536
-) -> np.ndarray:
-    """Train IVF centroids from a Spark vector DataFrame ("Train" stage).
-
-    Takes a deterministic id-prefix sample (≤ ``sample_cap`` rows) to the
-    driver and runs seeded k-means, exactly as Faiss trains on a sample.
-    """
-    rows = df.where(F.col("id") < sample_cap).select("vec").collect()
-    x = np.asarray([r[0] for r in rows], dtype=np.float32)
-    return kmeans(x, nlist, seed=seed)
-
-
-def assign_vectors(
-    spark: SparkSession, df: DataFrame, centroids: np.ndarray
-) -> DataFrame:
-    """Nearest-centroid assignment ("Add" stage): DataFrame
-    ``(id, cluster, vec)`` via ``mapInPandas`` over broadcast centroids."""
-    import pandas as pd
-    from pyspark.sql import types as T
-
-    bc = spark.sparkContext.broadcast(centroids)
-
-    def assign(batches):
-        from repro.ivf.index import assign_clusters
-
-        for pdf in batches:
-            x = np.asarray(list(pdf["vec"]), dtype=np.float32)
-            pdf = pdf.copy()
-            pdf["cluster"] = assign_clusters(bc.value, x)
-            yield pd.DataFrame(
-                {"id": pdf["id"], "cluster": pdf["cluster"], "vec": pdf["vec"]}
-            )
-
-    schema = T.StructType(
-        [
-            T.StructField("id", T.LongType(), False),
-            T.StructField("cluster", T.LongType(), False),
-            T.StructField("vec", T.ArrayType(T.FloatType(), False), False),
-        ]
-    )
-    return df.mapInPandas(assign, schema=schema)
-
-
 def distribute(
-    spark: SparkSession,
-    assigned: DataFrame,
+    sc: SparkContext,
+    ivf: IVFIndex,
     plan: PartitionPlan,
     prewarm_per_cluster: int = 32,
-    train_seconds: float = 0.0,
-    add_seconds: float = 0.0,
-    centroids: np.ndarray | None = None,
 ) -> DistributedIndex:
-    """Lay an assigned vector table out on the simulated cluster.
+    """Lay a built IVF index out on the simulated cluster.
 
-    Splits every row into ``B_dim`` dimension slices keyed by grid cell,
-    then ``partitionBy(n_nodes, cell→node)`` — the custom partitioner —
-    places each cell on its node, where slices are merged into a
-    :class:`CellStore` (rows id-sorted). Also collects the client-side
-    routing table and prewarm sample. Timed as the "Pre-assign" stage.
+    Slices every cluster of vector shard ``v`` to dimension block ``b``
+    on the driver and places the cells with ``parallelize`` in node
+    order, one per partition, cached on the workers. Also keeps the client-side routing table
+    and a prewarm sample: copies of each cluster's first rows, so the
+    searcher does not keep the corpus alive. Timed as the "Pre-assign"
+    stage.
     """
     t0 = time.perf_counter()
-    sc = spark.sparkContext
-    c2v = np.asarray(plan.cluster_to_vblock)
-    bounds = plan.dim_bounds
-    b_dim = plan.b_dim
-
-    # Client routing table: per-cluster ascending id lists.
-    map_pdf = assigned.select("cluster", "id").toPandas()
-    nlist = len(c2v)
-    cluster_ids: list[np.ndarray] = []
-    grouped = map_pdf.sort_values("id").groupby("cluster")["id"]
-    by_cluster = {int(c): v.to_numpy(dtype=np.int64) for c, v in grouped}
-    for c in range(nlist):
-        cluster_ids.append(by_cluster.get(c, np.empty(0, dtype=np.int64)))
-
-    # Prewarm sample: first rows of every cluster, full dimensionality.
-    want: dict[int, np.ndarray] = {
-        c: ids[:prewarm_per_cluster] for c, ids in enumerate(cluster_ids)
-    }
-    want_ids = np.concatenate([v for v in want.values() if len(v)])
-    rows = (
-        assigned.where(F.col("id").isin([int(i) for i in want_ids]))
-        .select("id", "vec")
-        .collect()
-    )
-    vec_by_id = {int(r[0]): np.asarray(r[1], dtype=np.float32) for r in rows}
+    cells = []
+    for n in range(plan.n_nodes):
+        v, b = plan.node_cell(n)
+        lo, hi = plan.dim_bounds[b]
+        cells.append(CellStore(v, b, {
+            int(c): np.ascontiguousarray(ivf.cluster_vectors[c][:, lo:hi])
+            for c in plan.clusters_of_vblock(v)
+        }))
     prewarm_rows = {
-        c: np.stack([vec_by_id[int(i)] for i in ids])
-        for c, ids in want.items()
-        if len(ids)
+        c: rows[:prewarm_per_cluster].copy()
+        for c, rows in enumerate(ivf.cluster_vectors)
+        if len(rows)
     }
-
-    # Worker cells via the custom cell->node partitioner.
-    def to_slices(rows_iter):
-        ids, cs, vecs = [], [], []
-        for r in rows_iter:
-            ids.append(r["id"])
-            cs.append(r["cluster"])
-            vecs.append(r["vec"])
-        if not ids:
-            return
-        ids_a = np.asarray(ids, dtype=np.int64)
-        cs_a = np.asarray(cs, dtype=np.int64)
-        x = np.asarray(vecs, dtype=np.float32)
-        for c in np.unique(cs_a):
-            m = cs_a == c
-            v = int(c2v[c])
-            for b, (lo, hi) in enumerate(bounds):
-                yield (
-                    (v, b),
-                    (int(c), ids_a[m], np.ascontiguousarray(x[m, lo:hi])),
-                )
-
-    def build_cells(kv_iter):
-        chunks: dict[tuple[int, int], dict[int, list]] = {}
-        for (v, b), (c, ids_a, mat) in kv_iter:
-            chunks.setdefault((v, b), {}).setdefault(c, []).append(
-                (ids_a, mat)
-            )
-        for (v, b), per_cluster in chunks.items():
-            clusters = {}
-            for c, parts in per_cluster.items():
-                ids_a = np.concatenate([p[0] for p in parts])
-                mat = np.concatenate([p[1] for p in parts], axis=0)
-                order = np.argsort(ids_a)  # canonical id-ascending rows
-                clusters[c] = np.ascontiguousarray(mat[order])
-            yield CellStore(v, b, clusters)
-
-    rdd = (
-        assigned.rdd.mapPartitions(to_slices)
-        .partitionBy(plan.n_nodes, lambda key: key[0] * b_dim + key[1])
-        .mapPartitions(build_cells)
-        .persist(StorageLevel.MEMORY_ONLY)
-    )
-    per_node = dict(
-        rdd.map(
-            lambda cell: (cell.vblock * b_dim + cell.dimblock, cell.nbytes())
-        ).collect()
-    )
-    node_bytes = np.array(
-        [float(per_node.get(n, 0)) for n in range(plan.n_nodes)]
-    )
-    if centroids is None:
-        raise ValueError("distribute() requires the trained centroids")
+    rdd = sc.parallelize(cells, plan.n_nodes)
+    # A parallelized partition travels inside every task that reads it.
+    # Caching the cells and cutting that lineage keeps each search
+    # stage's tasks small.
+    rdd.localCheckpoint()
+    rdd.count()
     return DistributedIndex(
         plan=plan,
-        centroids=centroids,
-        cluster_ids=cluster_ids,
+        centroids=ivf.centroids,
+        cluster_ids=ivf.cluster_ids,
         prewarm_rows=prewarm_rows,
         rdd=rdd,
-        node_index_bytes=node_bytes,
-        build_seconds={
-            "train": train_seconds,
-            "add": add_seconds,
-            "preassign": time.perf_counter() - t0,
-        },
+        node_index_bytes=np.array([float(c.nbytes()) for c in cells]),
+        build_seconds={"preassign": time.perf_counter() - t0},
     )

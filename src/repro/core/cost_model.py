@@ -21,7 +21,7 @@ from repro.cluster.machine import MachineModel
 from repro.core.partition import PartitionPlan, grid_options, make_plan
 from repro.ivf.index import probe_clusters
 
-#: Bytes of one stored vector component (float32).
+#: Bytes of one stored vector or sent query component (float32).
 BYTES_PER_SCALAR = 4
 #: Bytes of one transmitted partial distance (float64 accumulator).
 BYTES_PER_PARTIAL = 8

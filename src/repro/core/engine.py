@@ -31,22 +31,19 @@ import numpy as np
 from repro.cluster.layout import DistributedIndex
 from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import ClusterMetrics
-from repro.core.pruning import TopK
+from repro.core.cost_model import (
+    BYTES_PER_PARTIAL,
+    BYTES_PER_POSITION,
+    BYTES_PER_RESULT,
+    BYTES_PER_SCALAR,
+)
+from repro.core.pruning import TopK, prune_mask
 from repro.core.router import (
     assign_query_groups,
     dim_order,
     queries_per_vblock,
 )
 from repro.ivf.index import probe_clusters
-
-#: Bytes on the wire per survivor position (int32 row index).
-_POS_BYTES = 4
-#: Bytes on the wire per partial distance (float64).
-_PARTIAL_BYTES = 8
-#: Bytes per transmitted query-slice scalar (float32).
-_SCALAR_BYTES = 4
-#: Bytes per (id, distance) result entry of a worker-local top-k.
-_RESULT_BYTES = 12
 
 
 @dataclass
@@ -331,13 +328,13 @@ class HarmonyEngine:
             npairs = sum(len(p) for _, p in cl_list)
             n_tasks[node] += 1
             ops[node] += npairs * (hi - lo)
-            down[node] += (hi - lo) * _SCALAR_BYTES
+            down[node] += (hi - lo) * BYTES_PER_SCALAR
             if s > 0:  # survivor sets resent after pruning
-                down[node] += npairs * _POS_BYTES
+                down[node] += npairs * BYTES_PER_POSITION
             if b_dim == 1:  # worker-local top-k reduction
-                up[node] += k * _RESULT_BYTES
+                up[node] += k * BYTES_PER_RESULT
             else:
-                up[node] += npairs * _PARTIAL_BYTES
+                up[node] += npairs * BYTES_PER_PARTIAL
         if not payload:
             return
         # One request + one response message per (query, wave) task.
@@ -373,7 +370,7 @@ class HarmonyEngine:
                     continue
                 s2 = s2 + res_map[(tag, c)]
                 if do_prune:
-                    keep = s2 <= tau2
+                    keep = prune_mask(s2, tau2)
                     e[1], e[2] = pos[keep], s2[keep]
                 else:
                     e[1], e[2] = pos, s2

@@ -52,8 +52,8 @@ class PartitionPlan:
         return self.dim_bounds[-1][1]
 
     def cell_node(self, v: int, b: int) -> int:
-        """Node id hosting grid cell ``(v, b)`` — the custom-partitioner
-        mapping used by the Spark layout."""
+        """Node id hosting grid cell ``(v, b)`` — also the index of the
+        Spark partition that holds the cell."""
         return v * self.b_dim + b
 
     def node_cell(self, n: int) -> tuple[int, int]:

@@ -55,12 +55,6 @@ class TopK:
             return np.inf
         return float(self._dists[q][-1])
 
-    def thresholds(self) -> np.ndarray:
-        """All per-query thresholds as one array."""
-        return np.array(
-            [self.threshold(q) for q in range(len(self._ids))]
-        )
-
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Final ``(ids, dists)`` arrays of shape ``(Q, k)``, distance-
         sorted, padded with ``(-1, inf)`` when fewer than k candidates."""

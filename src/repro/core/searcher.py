@@ -1,4 +1,5 @@
-"""User-facing Harmony searcher: build (plan → distribute) + search.
+"""User-facing Harmony searcher: build (train, add, plan, distribute)
+and search.
 
 Mirrors the paper's ``-Mode`` parameter: ``harmony`` (adaptive grid via
 the cost model), ``vector`` (Harmony-vector, ``B_dim=1``) and
@@ -13,12 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cluster.layout import (
-    DistributedIndex,
-    assign_vectors,
-    distribute,
-    train_centroids,
-)
+from repro.cluster.layout import DistributedIndex, distribute
 from repro.cluster.machine import MachineModel
 from repro.core.cost_model import (
     CostBreakdown,
@@ -28,9 +24,25 @@ from repro.core.cost_model import (
 )
 from repro.core.engine import HarmonyEngine, SearchResult
 from repro.core.partition import make_plan
+from repro.ivf.index import assign_vectors, train_centroids
 
 #: Valid ``-Mode`` values (paper §5).
 MODES = ("harmony", "vector", "dimension")
+
+
+def _collect_vectors(df: DataFrame) -> np.ndarray:
+    """All vectors of ``df`` as an id-ordered ``(n, dim)`` float32 array,
+    in one Spark job. Raises ``ValueError`` unless the ids are exactly
+    ``0..n-1``."""
+    pdf = df.select("id", "vec").toPandas()
+    ids = pdf["id"].to_numpy(np.int64)
+    order = np.argsort(ids)
+    if not len(ids) or not np.array_equal(ids[order], np.arange(len(ids))):
+        raise ValueError(
+            "HarmonySearcher.build needs a non-empty DataFrame whose ids "
+            "are exactly 0..n-1"
+        )
+    return np.stack(pdf["vec"].to_numpy()[order]).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -80,25 +92,23 @@ class HarmonySearcher:
     ) -> "HarmonySearcher":
         """Train, add, plan and pre-assign the index (Fig. 10 stages).
 
-        ``profile_queries`` — an optional sample workload the cost model
-        profiles for skew; without it a uniform profile is assumed.
+        ``df`` holds ``(id, vec)`` rows with ids exactly ``0..n-1``, as
+        :func:`repro.vectors.generate.base_spark` produces; anything else
+        raises ``ValueError``. ``profile_queries`` — an optional sample
+        workload the cost model profiles for skew; without it a uniform
+        profile is assumed.
         """
         t0 = time.perf_counter()
-        centroids = train_centroids(df, config.nlist, seed=config.seed)
+        x = _collect_vectors(df)
+        centroids = train_centroids(x, config.nlist, config.seed)
         train_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        adf = assign_vectors(spark, df, centroids).persist()
-        counts = {
-            int(r[0]): int(r[1])
-            for r in adf.groupBy("cluster").count().collect()
-        }
-        sizes = np.array(
-            [counts.get(c, 0) for c in range(len(centroids))], np.float64
-        )
+        ivf = assign_vectors(x, centroids)
+        sizes = ivf.cluster_sizes().astype(np.float64)
         add_s = time.perf_counter() - t0
 
-        dim = centroids.shape[1]
+        dim = ivf.dim
         if profile_queries is not None:
             profile = QueryProfile.from_queries(
                 centroids, sizes, np.asarray(profile_queries, np.float32),
@@ -107,10 +117,9 @@ class HarmonySearcher:
         else:
             profile = QueryProfile.uniform(
                 len(centroids), dim, sizes,
-                n_queries=max(1, 100), nprobe=config.nprobe_hint,
+                n_queries=100, nprobe=config.nprobe_hint,
                 k=config.k_hint,
             )
-        weights = profile.probe_counts * profile.cluster_sizes
         cost = None
         # Fixed modes model the *traditional* distribution: clusters are
         # packed by size alone, blind to the query workload (paper §6.1's
@@ -131,12 +140,9 @@ class HarmonySearcher:
                 ),
                 balanced=config.balanced,
             )
-        di = distribute(
-            spark, adf, plan,
-            prewarm_per_cluster=config.prewarm_per_cluster,
-            train_seconds=train_s, add_seconds=add_s, centroids=centroids,
-        )
-        adf.unpersist()
+        di = distribute(spark.sparkContext, ivf, plan,
+                        config.prewarm_per_cluster)
+        di.build_seconds.update(train=train_s, add=add_s)
         engine = HarmonyEngine(
             di, machine=config.machine, schedule=config.schedule,
             use_pruning=config.use_pruning,

@@ -3,9 +3,11 @@
 The paper's Harmony and its baselines are all cluster-based engines: train
 ``nlist`` centroids, assign every base vector to its nearest centroid
 ("Add" stage), then search by probing the ``nprobe`` nearest clusters per
-query. This module implements that substrate on the driver (numpy); the
-distributed layout in :mod:`repro.cluster.layout` shards a built
-``IVFIndex`` across simulated nodes.
+query. This module implements that substrate on the driver (numpy). It is
+the only train/assign code: ``faiss_lite`` searches its ``IVFIndex``
+directly, and every Harmony mode hands the same ``IVFIndex`` to
+:func:`repro.cluster.layout.distribute`, which shards it across simulated
+nodes.
 """
 from __future__ import annotations
 
@@ -60,10 +62,16 @@ class IVFIndex:
         return total
 
 
-def build_ivf(x: np.ndarray, nlist: int, seed: int = 0) -> IVFIndex:
-    """Train centroids on ``x`` and populate the inverted lists."""
+def train_centroids(x: np.ndarray, nlist: int, seed: int = 0) -> np.ndarray:
+    """Train ``nlist`` IVF centroids on ``x`` (the "Train" stage)."""
+    return kmeans(x, nlist, seed=seed)
+
+
+def assign_vectors(x: np.ndarray, centroids: np.ndarray) -> IVFIndex:
+    """Populate the inverted lists of ``centroids`` with the rows of ``x``
+    (the "Add" stage). Row ``i`` of ``x`` is vector id ``i``; each list
+    holds its ids in ascending order."""
     x = np.ascontiguousarray(x, dtype=np.float32)
-    centroids = kmeans(x, nlist, seed=seed)
     assign = assign_clusters(centroids, x)
     ids = np.arange(len(x), dtype=np.int64)
     cluster_ids, cluster_vectors = [], []
@@ -72,6 +80,11 @@ def build_ivf(x: np.ndarray, nlist: int, seed: int = 0) -> IVFIndex:
         cluster_ids.append(ids[m])
         cluster_vectors.append(np.ascontiguousarray(x[m]))
     return IVFIndex(centroids, cluster_ids, cluster_vectors)
+
+
+def build_ivf(x: np.ndarray, nlist: int, seed: int = 0) -> IVFIndex:
+    """Train centroids on ``x`` and populate the inverted lists."""
+    return assign_vectors(x, train_centroids(x, nlist, seed))
 
 
 def assign_clusters(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:

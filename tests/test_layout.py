@@ -1,8 +1,10 @@
-"""Distributed layout: custom partitioner placement, storage accounting."""
+"""Distributed layout: cell placement, storage accounting."""
 import numpy as np
 import pytest
 
-from tests.conftest import TEST_NLIST
+from repro.core.searcher import HarmonyConfig, HarmonySearcher
+from repro.ivf.index import build_ivf
+from repro.vectors.generate import base_numpy, base_spark
 
 
 def _cells(searcher):
@@ -14,8 +16,8 @@ def _cells(searcher):
 
 @pytest.mark.parametrize("mode", ["harmony", "vector", "dimension"])
 def test_cells_on_prescribed_nodes(built, mode):
-    # The custom partitioner must place cell (v, b) exactly on partition
-    # plan.cell_node(v, b) — partition i IS simulated node i.
+    # Cell (v, b) must sit exactly on partition plan.cell_node(v, b) —
+    # partition i IS simulated node i.
     s = built[mode]
     plan = s.di.plan
     for part_idx, cell in _cells(s):
@@ -58,16 +60,26 @@ def test_cluster_ids_cover_dataset(built, ds):
     assert sorted(all_ids) == list(range(len(ds["x"])))
 
 
-def test_cluster_assignment_matches_driver_ivf(built, ds):
-    # Spark-side "Add" stage must agree with the driver-side IVF build
-    # (same centroids → same assignment).
-    s = built["harmony"]
-    ivf = ds["ivf"]
-    np.testing.assert_array_equal(s.di.centroids, ivf.centroids)
-    for c in range(TEST_NLIST):
-        np.testing.assert_array_equal(
-            s.di.cluster_ids[c], ivf.cluster_ids[c]
+def _assert_same_clustering(di, ivf):
+    np.testing.assert_array_equal(di.centroids, ivf.centroids)
+    for c in range(ivf.nlist):
+        np.testing.assert_array_equal(di.cluster_ids[c], ivf.cluster_ids[c])
+
+
+def test_cluster_assignment_matches_driver_ivf(spark, built, ds):
+    # Every build trains and assigns with build_ivf's code, so every mode
+    # shares faiss_lite's clustering (§6.1) — also on a corpus of more
+    # than 65,536 rows (sift1m at SF 0.07 has 70,000).
+    _assert_same_clustering(built["harmony"].di, ds["ivf"])
+    spec = ds["spec"]
+    cfg = HarmonyConfig(n_nodes=4, nlist=8, prewarm_per_cluster=4)
+    s = HarmonySearcher.build(spark, base_spark(spark, spec, 0.07), cfg)
+    try:
+        _assert_same_clustering(
+            s.di, build_ivf(base_numpy(spec, 0.07), 8, seed=cfg.seed)
         )
+    finally:
+        s.di.unpersist()
 
 
 def test_prewarm_rows_are_cluster_prefixes(built, ds):
@@ -77,6 +89,8 @@ def test_prewarm_rows_are_cluster_prefixes(built, ds):
         ids = s.di.cluster_ids[c][: len(rows)]
         np.testing.assert_array_equal(rows, x[ids])
         assert len(rows) <= 8  # prewarm_per_cluster in conftest
+        # A copy, not a view: the searcher must not keep the corpus alive.
+        assert rows.base is None
 
 
 def test_accumulator_bytes_only_for_dim_partitioned(built):

@@ -64,6 +64,19 @@ def test_search_delegates(built, ds, baseline_ref):
     )
 
 
+@pytest.mark.parametrize("bad", [
+    lambda df: df.selectExpr("id + 1 AS id", "vec"),
+    lambda df: df.union(df),
+    lambda df: df.where("id % 2 = 0"),
+    lambda df: df.limit(0),
+], ids=["shifted", "duplicated", "gaps", "empty"])
+def test_build_rejects_ids_other_than_range(spark, ds, bad):
+    # Row p of every cell is vector cluster_ids[c][p]; that holds only
+    # for ids exactly 0..n-1, as base_spark produces.
+    with pytest.raises(ValueError, match="0..n-1"):
+        HarmonySearcher.build(spark, bad(ds["df"]), HarmonyConfig(nlist=4))
+
+
 def test_build_with_uniform_profile(spark, ds):
     # No profile queries → uniform planner profile; still builds/searches.
     cfg = HarmonyConfig(n_nodes=2, mode="harmony", nlist=8,
