@@ -18,9 +18,15 @@ the top-K heaps, and orchestrates the two pipelines —
   ``S² > τ²`` between stages (strict monotone test → exact w.r.t. the
   probed clusters).
 
-Each global stage runs as one Spark job over the distributed cells and is
-metered: per-node ops, bytes down (query slices + survivor sets), bytes
-up (partial sums / local top-k results), messages, transient buffers.
+Every global stage is metered: per-node ops, bytes down (query slices +
+survivor sets), bytes up (partial sums / local top-k results), messages,
+transient buffers. A stage is executed as a ``mapPartitions`` job over the
+distributed cells. A stage waits for the previous one only when a pruning
+decision can depend on it: on ``B_dim = 1`` grids (worker-local top-k,
+no driver pruning) or with pruning off, no stage's work depends on an
+earlier stage's results, so the whole search runs as *one* Spark job and
+its stages are folded in order afterwards; otherwise each global stage
+is its own job.
 """
 from __future__ import annotations
 
@@ -81,48 +87,58 @@ class SearchResult:
 
 
 def _stage_worker(payload_bc):
-    """Worker closure for one global pipeline stage.
+    """Worker closure for a list of global pipeline stages run as one job.
 
-    ``payload_bc`` broadcasts ``(tasks, finalize_k)`` where ``tasks`` is
-    ``{(vblock, dimblock): [(tag, qslice, [(cluster, positions)])]}``
-    (``tag`` identifies the (query, wave) the work belongs to).
+    ``payload_bc`` broadcasts ``(stages, finalize_k)`` where ``stages[i]``
+    is ``{(vblock, dimblock): [(tag, qslice, [(cluster, positions)])]}``
+    (``tag`` identifies the (query, wave) the work belongs to). Every
+    result row starts with its stage index ``i``.
 
     * ``finalize_k is None``: nodes return partial squared-L2 sums
-      ``(tag, cluster, None, partials)`` for the master to accumulate.
+      ``(i, tag, cluster, None, partials)`` for the master to accumulate.
     * ``finalize_k = k`` (full-dimension cells, ``B_dim = 1``): the node
       holds whole vectors, so — like a real Harmony-vector worker — it
       reduces to its *local top-k* per task and ships only ``k`` results
-      ``(tag, cluster, positions_subset, dists_subset)``.
+      ``(i, tag, cluster, positions_subset, dists_subset)``.
     """
 
     def fn(cells):
         out = []
-        tasks_by_cell, finalize_k = payload_bc.value
+        stages, finalize_k = payload_bc.value
         for cell in cells:
-            tasks = tasks_by_cell.get((cell.vblock, cell.dimblock))
-            if not tasks:
-                continue
-            for tag, qslice, cl_list in tasks:
-                per_t = []
-                for c, pos in cl_list:
-                    mat = cell.clusters.get(int(c))
-                    if mat is None or len(pos) == 0:
-                        continue
-                    diff = mat[pos] - qslice
-                    d = (diff * diff).sum(axis=1).astype(np.float64)
-                    per_t.append((int(c), pos, d))
-                if finalize_k is None:
-                    out.extend((tag, c, None, d) for c, _, d in per_t)
-                elif per_t:
-                    all_d = np.concatenate([d for _, _, d in per_t])
-                    kk = min(finalize_k, len(all_d))
-                    cut = np.partition(all_d, kk - 1)[kk - 1]
-                    for c, pos, d in per_t:
-                        keep = d <= cut
-                        out.append((tag, c, pos[keep], d[keep]))
+            key = (cell.vblock, cell.dimblock)
+            for i, tasks_by_cell in enumerate(stages):
+                for tag, qslice, cl_list in tasks_by_cell.get(key, ()):
+                    per_t = []
+                    for c, pos in cl_list:
+                        mat = cell.clusters.get(int(c))
+                        if mat is None or len(pos) == 0:
+                            continue
+                        diff = mat[pos] - qslice
+                        d = (diff * diff).sum(axis=1).astype(np.float64)
+                        per_t.append((int(c), pos, d))
+                    if finalize_k is None:
+                        out.extend((i, tag, c, None, d) for c, _, d in per_t)
+                    elif per_t:
+                        all_d = np.concatenate([d for _, _, d in per_t])
+                        kk = min(finalize_k, len(all_d))
+                        cut = np.partition(all_d, kk - 1)[kk - 1]
+                        for c, pos, d in per_t:
+                            keep = d <= cut
+                            out.append((i, tag, c, pos[keep], d[keep]))
         return out
 
     return fn
+
+
+@dataclass
+class _Stage:
+    """One planned global stage: its worker payload and, per task tag,
+    the ``(wave, pipeline position)`` the results fold into."""
+
+    label: str
+    payload: dict
+    waves: dict
 
 
 class _Wave:
@@ -173,7 +189,6 @@ class HarmonyEngine:
         di = self.di
         plan = di.plan
         b_vec, b_dim = plan.b_vec, plan.b_dim
-        sc = di.rdd.context
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         n_q = len(queries)
         sizes = di.cluster_sizes()
@@ -203,7 +218,11 @@ class HarmonyEngine:
         groups = assign_query_groups(n_q, b_vec)
         skipped = np.zeros(b_dim)
         pairs_total = 0
-        margin = 1.0 + self.prune_margin
+        # Stage results feed a pruning decision only on B_dim > 1 grids
+        # with pruning on; otherwise no stage waits for the one before,
+        # and every stage runs in one Spark job at the end.
+        defer = b_dim == 1 or not self.use_pruning
+        pending: list[_Stage] = []
 
         for r in range(b_vec):  # vector pipeline rounds (Fig. 5a)
             waves = self._build_waves(r, per_v, groups, done, sizes, n_waves)
@@ -241,22 +260,20 @@ class HarmonyEngine:
                         )
                 for wv, s in active:
                     skipped[s] += wave_pairs[id(wv)] - wv.alive()
-                self._run_stage(
-                    f"r{r}t{t}", active, orders, queries, k,
-                    topk, metrics, margin, sc,
+                stage = self._plan_stage(
+                    f"r{r}t{t}", active, orders, queries, k, metrics
                 )
-                # Completed waves feed the heap → tighter τ² for the
-                # waves still in flight (the pipeline's pruning win).
-                for wv, s in active:
-                    if s == b_dim - 1:
-                        for c, pos, s2 in wv.entries:
-                            if len(pos):
-                                topk.update(
-                                    wv.q, di.cluster_ids[c][pos], s2
-                                )
-                            # mark consumed
-                        for e in wv.entries:
-                            e[1] = e[1][:0]
+                if stage is None:
+                    continue
+                if defer:
+                    pending.append(stage)
+                else:
+                    (rows,) = self._execute([stage], k)
+                    self._fold(stage, rows, topk)
+
+        if pending:
+            for stage, rows in zip(pending, self._execute(pending, k)):
+                self._fold(stage, rows, topk)
 
         ids, dists = topk.result()
         report = SearchReport(
@@ -301,12 +318,12 @@ class HarmonyEngine:
         return waves
 
     # -----------------------------------------------------------------
-    def _run_stage(
-        self, label, active, orders, queries, k, topk, metrics, margin, sc
-    ) -> None:
-        """Execute one global stage as a Spark job and fold results in."""
-        di = self.di
-        plan = di.plan
+    def _plan_stage(
+        self, label, active, orders, queries, k, metrics
+    ) -> _Stage | None:
+        """Build one global stage's payload and meter it; ``None`` when
+        no active wave has candidates left."""
+        plan = self.di.plan
         b_dim = plan.b_dim
         payload: dict = {}
         tag_to_wave: dict[int, tuple[_Wave, int]] = {}
@@ -336,30 +353,54 @@ class HarmonyEngine:
             else:
                 up[node] += npairs * BYTES_PER_PARTIAL
         if not payload:
-            return
+            return None
         # One request + one response message per (query, wave) task.
         msgs = 2.0 * n_tasks
-        finalize_k = k if b_dim == 1 else None
-        bc = sc.broadcast((payload, finalize_k))
-        try:
-            results = di.rdd.mapPartitions(_stage_worker(bc)).collect()
-        finally:
-            bc.unpersist()
         metrics.record_stage(
             label, ops, down, up, msgs, buffer_bytes=down + up
         )
+        return _Stage(label, payload, tag_to_wave)
+
+    def _execute(self, stages: list[_Stage], k) -> list[list]:
+        """Run ``stages`` as one Spark job; returns each stage's result
+        rows, in collected partition order."""
+        di = self.di
+        sc = di.rdd.context
+        finalize_k = k if di.plan.b_dim == 1 else None
+        labels = stages[0].label
+        if len(stages) > 1:
+            labels += ".." + stages[-1].label
+        bc = sc.broadcast(([st.payload for st in stages], finalize_k))
+        # The caller (e.g. a benchmark) may have described its own job.
+        prev = sc.getLocalProperty("spark.job.description")
+        try:
+            sc.setJobDescription(f"harmony {labels}")
+            results = di.rdd.mapPartitions(_stage_worker(bc)).collect()
+        finally:
+            sc.setLocalProperty("spark.job.description", prev)
+            bc.unpersist()
+        rows: list[list] = [[] for _ in stages]
+        for i, *row in results:
+            rows[i].append(row)
+        return rows
+
+    def _fold(self, stage: _Stage, rows, topk) -> None:
+        """Fold one stage's result rows into the heaps and prune."""
+        di = self.di
+        b_dim = di.plan.b_dim
         if b_dim == 1:
             # Vector-partitioned round: workers returned their local
             # top-k directly; fold it into the heaps and consume.
-            for tag, c, pos_sub, d_sub in results:
-                wv, _ = tag_to_wave[tag]
+            for tag, c, pos_sub, d_sub in rows:
+                wv, _ = stage.waves[tag]
                 topk.update(wv.q, di.cluster_ids[c][pos_sub], d_sub)
-            for wv, _ in tag_to_wave.values():
+            for wv, _ in stage.waves.values():
                 for e in wv.entries:
                     e[1] = e[1][:0]
             return
-        res_map = {(tag, c): p for tag, c, _, p in results}
-        for tag, (wv, s) in tag_to_wave.items():
+        margin = 1.0 + self.prune_margin
+        res_map = {(tag, c): p for tag, c, _, p in rows}
+        for tag, (wv, s) in stage.waves.items():
             tau2 = topk.threshold(wv.q) * margin
             do_prune = (
                 self.use_pruning and s < b_dim - 1 and np.isfinite(tau2)
@@ -374,3 +415,12 @@ class HarmonyEngine:
                     e[1], e[2] = pos[keep], s2[keep]
                 else:
                     e[1], e[2] = pos, s2
+        # Completed waves feed the heap → tighter τ² for the waves still
+        # in flight (the pipeline's pruning win).
+        for wv, s in stage.waves.values():
+            if s == b_dim - 1:
+                for c, pos, s2 in wv.entries:
+                    if len(pos):
+                        topk.update(wv.q, di.cluster_ids[c][pos], s2)
+                for e in wv.entries:
+                    e[1] = e[1][:0]

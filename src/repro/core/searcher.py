@@ -149,15 +149,28 @@ class HarmonySearcher:
         )
         return cls(di, config, engine, cost)
 
-    @property
-    def di(self) -> DistributedIndex:
-        """Alias kept short for test ergonomics."""
-        return self.dindex
-
     def search(
         self, queries: np.ndarray, k: int = 10, nprobe: int = 8
     ) -> SearchResult:
-        """Run one query batch through the pipelined engine."""
+        """Run one query batch through the pipelined engine.
+
+        ``queries`` is a finite ``(Q, dim)`` array; ``k`` and ``nprobe``
+        are at least 1 (``nprobe > nlist`` probes every cluster). Anything
+        else raises ``ValueError``.
+        """
+        if k < 1 or nprobe < 1:
+            raise ValueError(
+                f"k and nprobe must be at least 1, got k={k}, "
+                f"nprobe={nprobe}"
+            )
+        queries = np.asarray(queries, dtype=np.float32)
+        dim = self.dindex.dim
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise ValueError(
+                f"queries must have shape (Q, {dim}), got {queries.shape}"
+            )
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must be finite (no NaN or inf)")
         return self.engine.search(queries, k=k, nprobe=nprobe)
 
     def with_engine(self, **overrides) -> "HarmonySearcher":

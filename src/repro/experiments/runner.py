@@ -134,7 +134,7 @@ class DatasetBundle:
         from repro.ivf.index import probe_clusters
 
         sv = self.searcher("vector")
-        plan, di = sv.di.plan, sv.di
+        plan, di = sv.dindex.plan, sv.dindex
         hot_clusters = plan.clusters_of_vblock(node % plan.b_vec)
         hot_set = set(int(c) for c in hot_clusters)
         sizes = di.cluster_sizes().astype(np.float64)
@@ -169,7 +169,7 @@ class DatasetBundle:
     def close(self) -> None:
         """Unpersist all built distributed indexes."""
         for s in self._searchers.values():
-            s.di.unpersist()
+            s.dindex.unpersist()
         self._searchers.clear()
 
 

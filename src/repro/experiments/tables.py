@@ -126,7 +126,7 @@ def table4_row(bundle: DatasetBundle) -> dict:
         ("harmony", "harmony_mb"),
     ):
         s = bundle.searcher(mode)
-        row[col] = float(s.di.node_memory_bytes().mean()) / 1e6
+        row[col] = float(s.dindex.node_memory_bytes().mean()) / 1e6
     return row
 
 
@@ -160,7 +160,7 @@ def table5_row(bundle: DatasetBundle) -> dict:
         s = bundle.searcher(mode)
         res = s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
         peak = (
-            s.di.node_memory_bytes() + res.report.metrics.peak_buffer_bytes
+            s.dindex.node_memory_bytes() + res.report.metrics.peak_buffer_bytes
         )
         row[col] = float(peak.mean()) / 1e6
     return row
@@ -229,7 +229,7 @@ def fig7_rows(
                 row["load_std"] = res.report.metrics.imbalance()
             if mode == "harmony":
                 row["harmony_grid"] = (
-                    f"{s.di.plan.b_vec}x{s.di.plan.b_dim}"
+                    f"{s.dindex.plan.b_vec}x{s.dindex.plan.b_dim}"
                 )
         rows.append(row)
     return rows

@@ -46,7 +46,7 @@ def built(spark, ds):
         )
     yield out
     for s in out.values():
-        s.di.unpersist()
+        s.dindex.unpersist()
 
 
 @pytest.fixture(scope="session")

@@ -170,3 +170,71 @@ def test_search_is_deterministic(built, ds):
 def test_single_query(built, ds, baseline_ref):
     res = built["harmony"].search(ds["q"][:1], k=TEST_K, nprobe=TEST_NPROBE)
     assert_same_distances(res.dists, baseline_ref.dists[:1])
+
+
+def _search_counting_jobs(spark, searcher, q, group):
+    """``(result, Spark jobs the search ran)``, with the search in its
+    own job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, "job count")
+    try:
+        res = searcher.search(q, k=TEST_K, nprobe=TEST_NPROBE)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    # Job events reach the status tracker through the listener bus.
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return res, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("mode,use_pruning,fused", [
+    ("vector", True, True),
+    ("dimension", False, True),
+    ("dimension", True, False),
+], ids=["vector", "dimension-no-pruning", "dimension-pruning"])
+def test_spark_jobs_per_search(spark, built, ds, mode, use_pruning, fused):
+    # No pruning decision waits on a stage of a B_dim = 1 grid or of a
+    # search without pruning, so all its stages run as one Spark job;
+    # with pruning on a B_dim > 1 grid, each global stage is one job.
+    # The metered stages are the same either way.
+    s = built[mode].with_engine(use_pruning=use_pruning)
+    plan = s.dindex.plan
+    res, jobs = _search_counting_jobs(
+        spark, s, ds["q"], f"test-jobs-{mode}-{use_pruning}"
+    )
+    stages = len(res.report.metrics.stages)
+    if plan.b_dim == 1:
+        assert stages == plan.b_vec
+    else:
+        assert stages == plan.b_dim + s.engine.n_waves - 1
+    assert jobs == (1 if fused else stages)
+
+
+def test_search_restores_job_description(spark, built, ds):
+    sc = spark.sparkContext
+    for mode in ("vector", "dimension"):
+        sc.setJobDescription("caller")
+        try:
+            built[mode].search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
+            assert sc.getLocalProperty("spark.job.description") == "caller"
+        finally:
+            sc.setLocalProperty("spark.job.description", None)
+
+
+@pytest.mark.parametrize("use_pruning", [False, True])
+@pytest.mark.parametrize("n_waves", [1, 4])
+@pytest.mark.parametrize("mode", ["harmony", "vector", "dimension"])
+def test_metered_ops_cover_candidate_pairs(built, ds, mode, n_waves,
+                                           use_pruning):
+    # Every candidate pair is scanned over each dimension exactly once
+    # unless pruning skips the rest of it, whether its stages ran as one
+    # Spark job or one job each.
+    res = built[mode].with_engine(
+        use_pruning=use_pruning, n_waves=n_waves
+    ).search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
+    ops = res.report.metrics.node_ops().sum()
+    full = res.report.pairs_total * ds["spec"].dim
+    if use_pruning:
+        assert ops <= full
+    else:
+        assert ops == full

@@ -9,7 +9,7 @@ from repro.vectors.generate import base_numpy, base_spark
 
 def _cells(searcher):
     """Collect (partition_index, CellStore) pairs from the index RDD."""
-    return searcher.di.rdd.mapPartitionsWithIndex(
+    return searcher.dindex.rdd.mapPartitionsWithIndex(
         lambda i, it: [(i, c) for c in it]
     ).collect()
 
@@ -19,7 +19,7 @@ def test_cells_on_prescribed_nodes(built, mode):
     # Cell (v, b) must sit exactly on partition plan.cell_node(v, b) —
     # partition i IS simulated node i.
     s = built[mode]
-    plan = s.di.plan
+    plan = s.dindex.plan
     for part_idx, cell in _cells(s):
         assert part_idx == plan.cell_node(cell.vblock, cell.dimblock)
 
@@ -28,7 +28,7 @@ def test_cells_on_prescribed_nodes(built, mode):
 def test_one_cell_per_node(built, mode):
     s = built[mode]
     cells = _cells(s)
-    assert len(cells) == s.di.plan.n_nodes
+    assert len(cells) == s.dindex.plan.n_nodes
     assert len({(c.vblock, c.dimblock) for _, c in cells}) == len(cells)
 
 
@@ -37,7 +37,7 @@ def test_no_replication_total_bytes(built, ds):
     # NB x D floats — no duplication.
     for mode in ("harmony", "vector", "dimension"):
         s = built[mode]
-        total = float(s.di.node_index_bytes.sum())
+        total = float(s.dindex.node_index_bytes.sum())
         assert total == pytest.approx(len(ds["x"]) * ds["spec"].dim * 4)
 
 
@@ -46,17 +46,17 @@ def test_cell_rows_are_id_sorted_slices(built, ds):
     # cell's cluster matrix is vector cluster_ids[c][p]'s dim slice.
     s = built["dimension"]
     x = ds["x"]
-    plan = s.di.plan
+    plan = s.dindex.plan
     for _, cell in _cells(s):
         lo, hi = plan.dim_bounds[cell.dimblock]
         for c, mat in cell.clusters.items():
-            ids = s.di.cluster_ids[c]
+            ids = s.dindex.cluster_ids[c]
             np.testing.assert_array_equal(mat, x[ids, lo:hi])
 
 
 def test_cluster_ids_cover_dataset(built, ds):
     s = built["harmony"]
-    all_ids = np.concatenate(s.di.cluster_ids)
+    all_ids = np.concatenate(s.dindex.cluster_ids)
     assert sorted(all_ids) == list(range(len(ds["x"])))
 
 
@@ -70,23 +70,23 @@ def test_cluster_assignment_matches_driver_ivf(spark, built, ds):
     # Every build trains and assigns with build_ivf's code, so every mode
     # shares faiss_lite's clustering (§6.1) — also on a corpus of more
     # than 65,536 rows (sift1m at SF 0.07 has 70,000).
-    _assert_same_clustering(built["harmony"].di, ds["ivf"])
+    _assert_same_clustering(built["harmony"].dindex, ds["ivf"])
     spec = ds["spec"]
     cfg = HarmonyConfig(n_nodes=4, nlist=8, prewarm_per_cluster=4)
     s = HarmonySearcher.build(spark, base_spark(spark, spec, 0.07), cfg)
     try:
         _assert_same_clustering(
-            s.di, build_ivf(base_numpy(spec, 0.07), 8, seed=cfg.seed)
+            s.dindex, build_ivf(base_numpy(spec, 0.07), 8, seed=cfg.seed)
         )
     finally:
-        s.di.unpersist()
+        s.dindex.unpersist()
 
 
 def test_prewarm_rows_are_cluster_prefixes(built, ds):
     s = built["harmony"]
     x = ds["x"]
-    for c, rows in s.di.prewarm_rows.items():
-        ids = s.di.cluster_ids[c][: len(rows)]
+    for c, rows in s.dindex.prewarm_rows.items():
+        ids = s.dindex.cluster_ids[c][: len(rows)]
         np.testing.assert_array_equal(rows, x[ids])
         assert len(rows) <= 8  # prewarm_per_cluster in conftest
         # A copy, not a view: the searcher must not keep the corpus alive.
@@ -94,16 +94,16 @@ def test_prewarm_rows_are_cluster_prefixes(built, ds):
 
 
 def test_accumulator_bytes_only_for_dim_partitioned(built):
-    assert built["vector"].di.node_accumulator_bytes().sum() == 0
-    dim_acc = built["dimension"].di.node_accumulator_bytes()
+    assert built["vector"].dindex.node_accumulator_bytes().sum() == 0
+    dim_acc = built["dimension"].dindex.node_accumulator_bytes()
     assert np.all(dim_acc > 0)
 
 
 def test_node_memory_is_index_plus_accumulators(built):
     s = built["dimension"]
     np.testing.assert_allclose(
-        s.di.node_memory_bytes(),
-        s.di.node_index_bytes + s.di.node_accumulator_bytes(),
+        s.dindex.node_memory_bytes(),
+        s.dindex.node_index_bytes + s.dindex.node_accumulator_bytes(),
     )
 
 
@@ -111,13 +111,13 @@ def test_dimension_split_balances_bytes(built):
     # Pure dimension partitioning stores the same rows everywhere, so
     # per-node bytes differ only via uneven dim-block widths.
     s = built["dimension"]
-    b = s.di.node_index_bytes
+    b = s.dindex.node_index_bytes
     assert b.max() / b.min() < 1.2
 
 
 def test_build_seconds_recorded(built):
     for mode in ("harmony", "vector", "dimension"):
-        bs = built[mode].di.build_seconds
+        bs = built[mode].dindex.build_seconds
         assert set(bs) == {"train", "add", "preassign"}
         assert all(v >= 0 for v in bs.values())
         assert bs["preassign"] > 0

@@ -16,13 +16,13 @@ def test_modes_constant():
 
 
 def test_vector_mode_grid(built):
-    plan = built["vector"].di.plan
+    plan = built["vector"].dindex.plan
     assert (plan.b_vec, plan.b_dim) == (4, 1)
     assert plan.mode == "vector"
 
 
 def test_dimension_mode_grid(built):
-    plan = built["dimension"].di.plan
+    plan = built["dimension"].dindex.plan
     assert (plan.b_vec, plan.b_dim) == (1, 4)
     assert plan.mode == "dimension"
 
@@ -30,7 +30,7 @@ def test_dimension_mode_grid(built):
 def test_harmony_mode_chose_cost_optimal_grid(built):
     s = built["harmony"]
     assert s.planned_cost is not None
-    assert s.di.plan.b_vec * s.di.plan.b_dim == 4
+    assert s.dindex.plan.b_vec * s.dindex.plan.b_dim == 4
 
 
 def test_fixed_modes_have_no_planned_cost(built):
@@ -50,11 +50,6 @@ def test_with_engine_overrides_schedule_and_waves(built):
     s2 = built["dimension"].with_engine(schedule="static", n_waves=1)
     assert s2.engine.schedule == "static"
     assert s2.engine.n_waves == 1
-
-
-def test_di_alias(built):
-    s = built["harmony"]
-    assert s.di is s.dindex
 
 
 def test_search_delegates(built, ds, baseline_ref):
@@ -86,7 +81,7 @@ def test_build_with_uniform_profile(spark, ds):
         res = s.search(ds["q"][:4], k=3, nprobe=2)
         assert res.ids.shape == (4, 3)
     finally:
-        s.di.unpersist()
+        s.dindex.unpersist()
 
 
 def test_build_two_nodes_dimension(spark, ds):
@@ -94,7 +89,7 @@ def test_build_two_nodes_dimension(spark, ds):
                         prewarm_per_cluster=4)
     s = HarmonySearcher.build(spark, ds["df"], cfg)
     try:
-        assert s.di.plan.b_dim == 2
+        assert s.dindex.plan.b_dim == 2
         res = s.search(ds["q"][:4], k=3, nprobe=8)
         from repro.baseline.faiss_lite import search_ivf_flat
         from repro.ivf.index import build_ivf
@@ -103,4 +98,37 @@ def test_build_two_nodes_dimension(spark, ds):
         np.testing.assert_allclose(res.dists, ref.dists, rtol=1e-4,
                                    atol=1e-4)
     finally:
-        s.di.unpersist()
+        s.dindex.unpersist()
+
+
+def _with_value(v):
+    def f(q):
+        q = q.copy()
+        q[1, 2] = v
+        return q
+    return f
+
+
+@pytest.mark.parametrize("queries,k,nprobe,match", [
+    (lambda q: q, 0, TEST_NPROBE, "k and nprobe"),
+    (lambda q: q, -1, TEST_NPROBE, "k and nprobe"),
+    (lambda q: q, TEST_K, 0, "k and nprobe"),
+    (lambda q: q[0], TEST_K, TEST_NPROBE, "shape"),
+    (lambda q: q[None], TEST_K, TEST_NPROBE, "shape"),
+    (lambda q: q[:, :-1], TEST_K, TEST_NPROBE, "shape"),
+    (_with_value(np.nan), TEST_K, TEST_NPROBE, "finite"),
+    (_with_value(np.inf), TEST_K, TEST_NPROBE, "finite"),
+], ids=["k0", "k-negative", "nprobe0", "1d", "3d", "wrong-dim", "nan",
+        "inf"])
+def test_search_rejects_bad_input(built, ds, queries, k, nprobe, match):
+    with pytest.raises(ValueError, match=match):
+        built["harmony"].search(queries(ds["q"]), k=k, nprobe=nprobe)
+
+
+def test_nprobe_above_nlist_probes_every_cluster(built, ds):
+    from repro.baseline.faiss_lite import search_ivf_flat
+
+    nlist = built["harmony"].dindex.nlist
+    res = built["harmony"].search(ds["q"], k=TEST_K, nprobe=nlist + 5)
+    ref = search_ivf_flat(ds["ivf"], ds["q"], k=TEST_K, nprobe=nlist)
+    np.testing.assert_allclose(res.dists, ref.dists, rtol=1e-4, atol=1e-4)

@@ -29,7 +29,7 @@ def test_modes_match_baseline(spark, tiny, mode):
     res = s.search(q, k=5, nprobe=4)
     ref = search_ivf_flat(build_ivf(x, 16), q, k=5, nprobe=4)
     np.testing.assert_allclose(res.dists, ref.dists, rtol=1e-4, atol=1e-4)
-    s.di.unpersist()
+    s.dindex.unpersist()
 
 
 def test_full_probe_equals_exact(spark, tiny):
@@ -40,4 +40,4 @@ def test_full_probe_equals_exact(spark, tiny):
     tids, tdists = exact_knn(x, q, k=5)
     np.testing.assert_allclose(res.dists, tdists, rtol=1e-4, atol=1e-4)
     assert recall_at_k(res.ids, tids) > 0.99
-    s.di.unpersist()
+    s.dindex.unpersist()
