@@ -51,6 +51,14 @@ from repro.core.router import (
 )
 from repro.ivf.index import probe_clusters
 
+#: Relative slack on τ² before pruning. S² adds per-block float32 sums,
+#: so it rounds differently from the full-vector distances that fill the
+#: heap (prewarm) and that faiss_lite computes. Pruning only above
+#: τ²·(1 + PRUNE_MARGIN) keeps a rounding difference in the last bits
+#: from dropping a candidate that belongs in the top-k, so the search
+#: stays exact with respect to a full scan of the probed clusters.
+PRUNE_MARGIN = 1e-5
+
 
 @dataclass
 class SearchReport:
@@ -162,20 +170,16 @@ class HarmonyEngine:
     def __init__(
         self,
         dindex: DistributedIndex,
-        machine: MachineModel | None = None,
         schedule: str = "rotate",
         use_pruning: bool = True,
         n_waves: int = 4,
-        prune_margin: float = 1e-5,
     ):
         self.di = dindex
-        self.machine = machine or MachineModel()
         self.schedule = schedule
         self.use_pruning = use_pruning
         #: Candidate waves per round; 1 disables intra-round pipelining
         #: (the "w/o pipeline" ablation of Fig. 9 uses static + 1 wave).
         self.n_waves = n_waves
-        self.prune_margin = prune_margin
 
     # -----------------------------------------------------------------
     def search(
@@ -398,7 +402,7 @@ class HarmonyEngine:
                 for e in wv.entries:
                     e[1] = e[1][:0]
             return
-        margin = 1.0 + self.prune_margin
+        margin = 1.0 + PRUNE_MARGIN
         res_map = {(tag, c): p for tag, c, _, p in rows}
         for tag, (wv, s) in stage.waves.items():
             tau2 = topk.threshold(wv.q) * margin

@@ -144,8 +144,7 @@ class HarmonySearcher:
                         config.prewarm_per_cluster)
         di.build_seconds.update(train=train_s, add=add_s)
         engine = HarmonyEngine(
-            di, machine=config.machine, schedule=config.schedule,
-            use_pruning=config.use_pruning,
+            di, schedule=config.schedule, use_pruning=config.use_pruning,
         )
         return cls(di, config, engine, cost)
 
@@ -183,7 +182,7 @@ class HarmonySearcher:
             if k in ("schedule", "use_pruning", "machine")
         })
         eng = HarmonyEngine(
-            self.dindex, machine=cfg.machine, schedule=cfg.schedule,
+            self.dindex, schedule=cfg.schedule,
             use_pruning=cfg.use_pruning, n_waves=n_waves,
         )
         return HarmonySearcher(self.dindex, cfg, eng, self.planned_cost)

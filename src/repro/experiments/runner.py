@@ -1,20 +1,19 @@
 """Shared experiment harness: dataset bundles + searcher builds.
 
-Every evaluation table/figure job and benchmark goes through this module,
+Every evaluation table and figure check goes through this module,
 so the workload (scale factor, node count, nlist, nprobe, K) is defined
-in exactly one place and builds are reused across experiments.
+in exactly one place and each dataset's builds are cached in its bundle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.baseline.faiss_lite import BaselineResult, search_ivf_flat
 from repro.cluster.machine import MachineModel
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
-from repro.ivf.index import IVFIndex, build_ivf
+from repro.ivf.index import IVFIndex, build_ivf, probe_clusters
 from repro.vectors.generate import base_numpy, base_spark, queries_numpy
 from repro.vectors.specs import DatasetSpec, get_spec
 
@@ -131,8 +130,6 @@ class DatasetBundle:
         """
         if frac <= 0:
             return self.queries
-        from repro.ivf.index import probe_clusters
-
         sv = self.searcher("vector")
         plan, di = sv.dindex.plan, sv.dindex
         hot_clusters = plan.clusters_of_vblock(node % plan.b_vec)
@@ -159,13 +156,6 @@ class DatasetBundle:
         q[:n_hot] = cand[np.argsort(-score)[:n_hot]]
         return q
 
-    def faiss(self, queries: np.ndarray | None = None) -> BaselineResult:
-        """Run the single-node baseline on ``queries``."""
-        q = self.queries if queries is None else queries
-        return search_ivf_flat(
-            self.ivf, q, k=self.cfg.k, nprobe=self.cfg.nprobe
-        )
-
     def close(self) -> None:
         """Unpersist all built distributed indexes."""
         for s in self._searchers.values():
@@ -178,8 +168,3 @@ def qps(
 ) -> float:
     """Queries per second given simulated elapsed seconds."""
     return n_queries / seconds if seconds > 0 else float("inf")
-
-
-def shrink(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
-    """A config scaled down by ``factor`` (used by unit tests)."""
-    return replace(cfg, sf=cfg.sf * factor)

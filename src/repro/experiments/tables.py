@@ -2,14 +2,21 @@
 
 Each ``tableN_rows`` function returns a list of dicts — one per table row
 — in the paper's row order, and ``PAPER_TABLE*`` constants hold the
-published numbers so EXPERIMENTS.md (and the jobs' stdout) can show
-paper-vs-measured side by side.
+published numbers so EXPERIMENTS.md can show paper-vs-measured side by
+side. :data:`EXPERIMENTS` names one entry per ``results/*.txt`` file:
+its default datasets, rows, title and the paper claim its rows must
+hold (run them with ``python -m repro.experiments``).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
+
 import numpy as np
+from pyspark.sql import SparkSession
 
 from repro.baseline.exact import exact_knn, recall_at_k
+from repro.baseline.faiss_lite import search_ivf_flat
 from repro.experiments.runner import DatasetBundle, ExperimentConfig, qps
 from repro.vectors.specs import SMALL_DATASETS, get_spec
 
@@ -69,32 +76,23 @@ PAPER_TABLE3 = {  # dataset -> (slice1..slice4 %, average %)
 }
 
 
-def table3_search(bundle: DatasetBundle):
-    """Run the Table-3 configuration (§6.3.3): dimensional split of size
-    4 across four nodes — pure dimension partitioning, static slice
-    order, so pipeline position k == dimension slice k."""
+def table3_row(bundle: DatasetBundle) -> dict:
+    """Measure per-slice pruning for one dataset in the Table-3
+    configuration (§6.3.3): dimensional split of size 4 across four
+    nodes — pure dimension partitioning, static slice order, so pipeline
+    position k == dimension slice k."""
     cfg = bundle.cfg
     s = bundle.searcher("dimension").with_engine(schedule="static")
-    return s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
-
-
-def table3_from_report(name: str, report) -> dict:
-    """Turn a Table-3 run's report into the table row."""
+    report = s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe).report
     ratios = report.pruning_ratios() * 100.0
-    row = {"dataset": name}
+    row = {"dataset": bundle.name}
     for i in range(4):
         row[f"slice{i + 1}"] = float(ratios[i]) if i < len(ratios) else 0.0
     row["average"] = float(np.mean([row[f"slice{i + 1}"] for i in range(4)]))
-    paper = PAPER_TABLE3.get(name)
+    paper = PAPER_TABLE3.get(bundle.name)
     if paper:
         row["paper_average"] = paper[4]
     return row
-
-
-def table3_row(bundle: DatasetBundle) -> dict:
-    """Measure per-slice pruning for one dataset (see
-    :func:`table3_search`)."""
-    return table3_from_report(bundle.name, table3_search(bundle).report)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +118,9 @@ def table4_row(bundle: DatasetBundle) -> dict:
     overhead (§6.4.2)."""
     faiss_b = bundle.ivf.memory_bytes()
     row = {"dataset": bundle.name, "faiss_mb": faiss_b / 1e6}
-    for mode, col in (
-        ("vector", "vector_mb"),
-        ("dimension", "dimension_mb"),
-        ("harmony", "harmony_mb"),
-    ):
+    for mode in ("vector", "dimension", "harmony"):
         s = bundle.searcher(mode)
-        row[col] = float(s.dindex.node_memory_bytes().mean()) / 1e6
+        row[f"{mode}_mb"] = float(s.dindex.node_memory_bytes().mean()) / 1e6
     return row
 
 
@@ -152,17 +146,13 @@ def table5_row(bundle: DatasetBundle) -> dict:
     nodes, matching Table 4's per-node reporting)."""
     cfg = bundle.cfg
     row = {"dataset": bundle.name}
-    for mode, col in (
-        ("vector", "vector_mb"),
-        ("harmony", "harmony_mb"),
-        ("dimension", "dimension_mb"),
-    ):
+    for mode in ("vector", "harmony", "dimension"):
         s = bundle.searcher(mode)
         res = s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
         peak = (
             s.dindex.node_memory_bytes() + res.report.metrics.peak_buffer_bytes
         )
-        row[col] = float(peak.mean()) / 1e6
+        row[f"{mode}_mb"] = float(peak.mean()) / 1e6
     return row
 
 
@@ -179,8 +169,6 @@ def fig6_rows(bundle: DatasetBundle, nprobes=(2, 4, 8, 16)) -> list[dict]:
     true_ids, _ = exact_knn(bundle.x, bundle.queries, cfg.k)
     rows = []
     for nprobe in nprobes:
-        from repro.baseline.faiss_lite import search_ivf_flat
-
         base = search_ivf_flat(bundle.ivf, bundle.queries, cfg.k, nprobe)
         row = {
             "dataset": bundle.name,
@@ -250,9 +238,7 @@ def fig9_rows(bundle: DatasetBundle) -> list[dict]:
     queries = bundle.imbalanced_workload(0.5)
 
     def run(searcher, blocking=False):
-        from dataclasses import replace as _rep
-
-        m = model if not blocking else _rep(model, blocking=True)
+        m = model if not blocking else replace(model, blocking=True)
         res = searcher.search(queries, k=cfg.k, nprobe=cfg.nprobe)
         return (
             res.report.metrics.simulated_seconds(m),
@@ -284,8 +270,37 @@ def fig9_rows(bundle: DatasetBundle) -> list[dict]:
     ]
 
 
+def fig11_rows(
+    spark: SparkSession, cfg: ExperimentConfig, datasets: Sequence[str]
+) -> list[dict]:
+    """Scalability (§6.5.2, Fig. 11b): simulated speedup of each mode
+    over single-node faiss_lite on 2, 4 and 8 nodes (``cfg.n_nodes`` is
+    ignored)."""
+    rows = []
+    for name in datasets:
+        for n in (2, 4, 8):
+            ncfg = replace(cfg, n_nodes=n)
+            bundle = DatasetBundle(spark, name, ncfg)
+            try:
+                base = search_ivf_flat(bundle.ivf, bundle.queries, ncfg.k,
+                                       ncfg.nprobe)
+                t1 = base.simulated_seconds(ncfg.machine)
+                row = {"dataset": name, "nodes": n,
+                       "faiss_qps": qps(len(bundle.queries), t1)}
+                for mode in ("vector", "dimension", "harmony"):
+                    res = bundle.searcher(mode).search(
+                        bundle.queries, k=ncfg.k, nprobe=ncfg.nprobe
+                    )
+                    t = res.report.simulated_seconds(ncfg.machine)
+                    row[f"{mode}_speedup"] = t1 / t
+            finally:
+                bundle.close()
+            rows.append(row)
+    return rows
+
+
 def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
-    """Plain-text table for job stdout / EXPERIMENTS.md."""
+    """Plain-text table for ``results/*.txt`` and stdout."""
     if not rows:
         return "(no rows)"
     cols = list(rows[0].keys())
@@ -308,6 +323,134 @@ def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
     return "\n".join(lines)
 
 
-def small_dataset_names() -> tuple[str, ...]:
-    """The eight datasets of Tables 3-5."""
-    return SMALL_DATASETS
+# ---------------------------------------------------------------------------
+# Shape checks and the experiment registry
+# ---------------------------------------------------------------------------
+
+
+class ClaimFailed(Exception):
+    """A results table breaks the paper claim its experiment checks."""
+
+
+def _claim(claim: str, items, holds) -> None:
+    """Raise :class:`ClaimFailed` naming ``claim`` at the first item for
+    which ``holds`` is false."""
+    for item in items:
+        if not holds(item):
+            raise ClaimFailed(f"{claim}; got {item}")
+
+
+def _last_rows(rows: list[dict]):
+    """Each dataset's last row: its highest nprobe or heaviest skew."""
+    return {r["dataset"]: r for r in rows}.values()
+
+
+def check_table2(rows: list[dict]) -> None:
+    _claim("Table 2 lists all ten datasets", [len(rows)],
+           lambda n: n == len(PAPER_TABLE2))
+
+
+def check_table3(rows: list[dict]) -> None:
+    _claim("slice 1 never prunes", rows, lambda r: r["slice1"] == 0.0)
+    _claim("later slices prune more", rows,
+           lambda r: r["slice2"] <= r["slice3"] <= r["slice4"])
+
+
+def check_table4(rows: list[dict]) -> None:
+    _claim("a vector-partitioned node holds under half the single-node "
+           "index", rows, lambda r: r["vector_mb"] < r["faiss_mb"] / 2)
+    _claim("dimension partitioning adds accumulator memory over vector",
+           rows, lambda r: r["dimension_mb"] > r["vector_mb"])
+
+
+def check_table5(rows: list[dict]) -> None:
+    _claim("vector partitioning peaks no higher than dimension", rows,
+           lambda r: r["vector_mb"] <= r["dimension_mb"])
+
+
+def check_fig6(rows: list[dict]) -> None:
+    _claim("at the highest-recall point some distributed mode beats "
+           "single-node faiss_lite", _last_rows(rows),
+           lambda r: max(r["vector_qps"], r["dimension_qps"],
+                         r["harmony_qps"]) > r["faiss_qps"])
+
+
+def check_fig7(rows: list[dict]) -> None:
+    # Some datasets (glove) are skewed already at hot_frac 0, so the claim
+    # compares against harmony rather than asking vector to degrade.
+    _claim("under the heaviest imbalance vector is below 0.85x harmony",
+           _last_rows(rows),
+           lambda r: r["vector_qps"] < 0.85 * r["harmony_qps"])
+
+
+def check_fig9(rows: list[dict]) -> None:
+    _claim("no technique costs more than 20% of simulated time", rows,
+           lambda r: min(r["balanced_load_speedup"],
+                         r["pipeline_async_speedup"],
+                         r["pruning_speedup"]) > 0.8)
+
+
+def check_fig11(rows: list[dict]) -> None:
+    _claim("harmony's speedup grows with the node count",
+           zip(rows, rows[1:]),
+           lambda ab: ab[0]["dataset"] != ab[1]["dataset"]
+           or ab[1]["harmony_speedup"] > ab[0]["harmony_speedup"])
+
+
+def _each_bundle(row_fn: Callable[[DatasetBundle], list[dict]]):
+    """Table rows from a per-dataset row function: one bundle per
+    dataset, closed before the next is built."""
+    def rows(spark, cfg, datasets):
+        out = []
+        for name in datasets:
+            bundle = DatasetBundle(spark, name, cfg)
+            try:
+                out.extend(row_fn(bundle))
+            finally:
+                bundle.close()
+        return out
+    return rows
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """How one ``results/<name>.txt`` is made and the claim it checks."""
+
+    title: str  # ``{cfg.<field>}`` is filled from the run's config
+    datasets: tuple[str, ...]  # default; empty: needs no Spark session
+    rows: Callable  # (spark, cfg, datasets) -> list[dict]
+    check: Callable[[list[dict]], None]  # raises ClaimFailed
+
+
+FIG_DATASETS = ("sift1m", "star", "glove1.2m")
+
+EXPERIMENTS = {
+    "table2": Experiment(
+        "Table 2 — dataset statistics (lite analogs)",
+        (), lambda spark, cfg, datasets: table2_rows(cfg), check_table2),
+    "table3": Experiment(
+        "Table 3 — average pruning ratio across four nodes (%)",
+        SMALL_DATASETS, _each_bundle(lambda b: [table3_row(b)]),
+        check_table3),
+    "table4": Experiment(
+        "Table 4 — index memory (MB): single-node Faiss vs per-node mean",
+        SMALL_DATASETS, _each_bundle(lambda b: [table4_row(b)]),
+        check_table4),
+    "table5": Experiment(
+        "Table 5 — peak per-node memory during the query workload (MB)",
+        SMALL_DATASETS, _each_bundle(lambda b: [table5_row(b)]),
+        check_table5),
+    "fig6": Experiment(
+        "Fig. 6 shape check — simulated QPS vs recall "
+        "(sf={cfg.sf}, {cfg.n_nodes} nodes vs 1-node faiss_lite)",
+        FIG_DATASETS, _each_bundle(fig6_rows), check_fig6),
+    "fig7": Experiment(
+        "Fig. 7 shape check — simulated QPS under load imbalance",
+        FIG_DATASETS, _each_bundle(fig7_rows), check_fig7),
+    "fig9": Experiment(
+        "Fig. 9 shape check — per-technique speedup ablation",
+        FIG_DATASETS, _each_bundle(fig9_rows), check_fig9),
+    "fig11": Experiment(
+        "Fig. 11b shape check — speedup over 1-node faiss_lite by node "
+        "count", ("sift1m",), fig11_rows, check_fig11),
+}

@@ -1,7 +1,9 @@
-"""SparkSession helper for spark-submit jobs (outside pytest).
+"""The one SparkSession config of the repository.
 
-Mirrors conftest.py's session settings so jobs and tests see identical
-Spark behaviour (shuffle partitions, Arrow, no auto-broadcast).
+The experiments CLI (``python -m repro.experiments``), the benchmark
+(``perfbench/run.py``) and the tests' ``spark`` fixture (``conftest.py``)
+all build their session here, so they see identical Spark behaviour
+(shuffle partitions, Arrow, no auto-broadcast).
 """
 from __future__ import annotations
 

@@ -1,13 +1,23 @@
-"""Experiment harness: table row generators produce the paper's shapes."""
+"""Experiment harness: table row generators produce the paper's shapes,
+the shape checks reject rows that break the paper's claims, and
+``python -m repro.experiments`` writes the tables."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.runner import DatasetBundle, ExperimentConfig, qps
 from repro.experiments.tables import (
+    EXPERIMENTS,
     PAPER_TABLE2,
     PAPER_TABLE3,
     PAPER_TABLE4,
     PAPER_TABLE5,
+    ClaimFailed,
     fig6_rows,
     fig7_rows,
     fig9_rows,
@@ -142,3 +152,68 @@ def test_imbalanced_workload_properties(bundle):
     np.testing.assert_array_equal(
         bundle.imbalanced_workload(0.0), bundle.queries
     )
+
+
+def _run_cli(tmp_path, *args):
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_RESULTS=str(tmp_path), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_cli_writes_table2(tmp_path):
+    proc = _run_cli(tmp_path, "table2", "--sf", "0.002")
+    assert proc.returncode == 0, proc.stderr
+    rows = table2_rows(ExperimentConfig(sf=0.002))
+    assert (tmp_path / "table2.txt").read_text() == (
+        f"{EXPERIMENTS['table2'].title}\n\n{format_table(rows)}\n"
+    )
+
+
+def test_cli_rejects_unknown_experiment(tmp_path):
+    proc = _run_cli(tmp_path, "table9")
+    assert proc.returncode == 2 and "table9" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+#: One row that holds every per-row claim; each case breaks one of them.
+ROW = {"dataset": "d", "slice1": 0.0, "slice2": 1.0, "slice3": 2.0,
+       "slice4": 2.0, "faiss_mb": 8.0, "vector_mb": 2.0, "dimension_mb": 2.1,
+       "faiss_qps": 1.0, "vector_qps": 1.0, "dimension_qps": 1.0,
+       "harmony_qps": 2.0, "balanced_load_speedup": 1.0,
+       "pipeline_async_speedup": 0.9, "pruning_speedup": 1.0,
+       "harmony_speedup": 2.0}
+
+
+def _rows(*overrides):
+    return [{**ROW, **o} for o in overrides]
+
+
+#: (experiment, rows that hold its claim, rows that break it); for fig6
+#: and fig7 only each dataset's last row carries the claim.
+CLAIM_CASES = [
+    ("table2", [ROW] * len(PAPER_TABLE2), [ROW]),
+    ("table3", [ROW], _rows({"slice1": 0.5})),
+    ("table3", [ROW], _rows({"slice2": 2.5})),
+    ("table4", [ROW], _rows({"vector_mb": 4.0, "dimension_mb": 4.1})),
+    ("table4", [ROW], _rows({"dimension_mb": 2.0})),
+    ("table5", [ROW], _rows({"vector_mb": 2.2})),
+    ("fig6", _rows({"harmony_qps": 1.0}, {}), _rows({}, {"harmony_qps": 1.0})),
+    ("fig7", _rows({"vector_qps": 1.8}, {}), _rows({}, {"vector_qps": 1.8})),
+    ("fig9", [ROW], _rows({"pruning_speedup": 0.7})),
+    ("fig11", _rows({"harmony_speedup": 1.9}, {}),
+     _rows({}, {"harmony_speedup": 1.9})),
+]
+
+
+def test_every_experiment_has_claim_cases():
+    assert {name for name, _, _ in CLAIM_CASES} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name,good,bad", CLAIM_CASES)
+def test_shape_check(name, good, bad):
+    EXPERIMENTS[name].check(good)
+    with pytest.raises(ClaimFailed):
+        EXPERIMENTS[name].check(bad)
